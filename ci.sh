@@ -158,7 +158,8 @@ cargo build -q --offline --no-default-features --features recorder-off
 # Refreshes BENCH_partition.json and gates on the two identity invariants
 # the batch kernel must never break: reference-vs-engine partitions
 # identical on every set, and every batch lane bit-equal to the scalar
-# verdict. (The binary itself exits non-zero on either divergence; the
+# verdict — plus rebuild identity of both admission streams (the default
+# one and the saturated one that exercises the repair search). (The binary itself exits non-zero on either divergence; the
 # JSON assertions below keep the gate explicit and machine-checked.) The
 # speedup numbers are a record, not a gate — they move with the host.
 echo "== mcs-exp perf smoke (partition identity + batch-vs-scalar gates)"
@@ -173,16 +174,20 @@ assert r["probe_path_batch_matches_scalar"] is True, "batch kernel diverged from
 assert r["probe_scaling"], "per-(cores, K) scaling table is empty"
 assert r["admission_state_identical"] is True, "admission engine drifted from the rebuild"
 assert r["admissions_per_sec"] > 0, "no admission throughput measured"
+assert r["admission_saturated_state_identical"] is True, "saturated admission engine drifted from the rebuild"
+assert r["admissions_saturated_per_sec"] > 0, "no saturated (repair-path) admission throughput measured"
 assert r["sim_trace_identical"] is True, "event-engine simulator diverged from the tick oracle"
 assert r["sim_events_per_sec"] > 0, "no simulator throughput measured"
-print("ci: perf smoke ok (batch %.1fM probes/s over %d sets, scaling cells %d, %.2fM admissions/s, %.2fM sim events/s)"
+print("ci: perf smoke ok (batch %.1fM probes/s over %d sets, scaling cells %d, %.2fM admissions/s, %.2fM saturated admissions/s, %.2fM sim events/s)"
       % (r["probe_path_engine_per_sec"] / 1e6, r["task_sets"], len(r["probe_scaling"]),
-         r["admissions_per_sec"] / 1e6, r["sim_events_per_sec"] / 1e6))
+         r["admissions_per_sec"] / 1e6, r["admissions_saturated_per_sec"] / 1e6,
+         r["sim_events_per_sec"] / 1e6))
 EOF
 else
   grep -q '"partitions_identical": true' "$TMP/perf.json" \
     && grep -q '"probe_path_batch_matches_scalar": true' "$TMP/perf.json" \
     && grep -q '"admission_state_identical": true' "$TMP/perf.json" \
+    && grep -q '"admission_saturated_state_identical": true' "$TMP/perf.json" \
     && grep -q '"sim_trace_identical": true' "$TMP/perf.json" \
     || { echo "ci: perf smoke gates failed"; exit 1; }
 fi

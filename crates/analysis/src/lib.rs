@@ -33,7 +33,9 @@
 //! * [`soa`] — struct-of-arrays probe storage ([`TaskTable`] /
 //!   [`CoreBank`]) and the lane-parallel batch kernel
 //!   [`batch_probe_verdicts`] that evaluates all M cores of one candidate
-//!   probe in a single sweep, bit-identical to the scalar kernels per lane.
+//!   probe in a single sweep, plus its candidate-axis twin
+//!   [`batch_probe_candidates`] (all N tasks against one core), both
+//!   bit-identical to the scalar kernels per lane.
 
 #![forbid(unsafe_code)]
 
@@ -57,7 +59,10 @@ pub use elastic::elastic_stretch_factors;
 pub use probe::{CoreSums, Probe, TaskRow, Verdict};
 pub use sensitivity::{critical_scaling, ScaledView};
 pub use simple::simple_condition;
-pub use soa::{batch_probe_verdicts, CoreBank, CoreView, TaskTable, LANES};
+pub use soa::{
+    batch_candidate_fits, batch_probe_candidates, batch_probe_verdicts, CoreBank, CoreView,
+    TaskTable, LANES,
+};
 pub use theorem1::{core_utilization, is_feasible, Theorem1};
 pub use vd::VdAssignment;
 

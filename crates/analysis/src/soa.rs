@@ -16,18 +16,30 @@
 //! * [`CoreView`] — a zero-cost strided view of one core inside the bank,
 //!   running the *same* monomorphized scalar kernels as [`CoreSums`]
 //!   (generic over `SumsRead`), hence bit-identical by construction;
-//! * [`batch_probe_verdicts`] — the batch kernel: one sweep over the
-//!   contiguous planes evaluates all M cores in fixed-width lanes of
-//!   [`LANES`] with branch-free inner loops, a fused λ-recursion/µ-product
-//!   pass shared across cores, and the early-exit conditions folded as
-//!   per-lane masks instead of per-core control flow.
+//! * [`batch_probe_verdicts`] — the core-axis batch kernel: one sweep over
+//!   the contiguous planes evaluates all M cores for one candidate in
+//!   fixed-width lanes of [`LANES`] with branch-free inner loops, a fused
+//!   λ-recursion/µ-product pass shared across cores, and the early-exit
+//!   conditions folded as per-lane masks instead of per-core control flow;
+//! * [`batch_probe_candidates`] / [`batch_candidate_fits`] — the
+//!   candidate-axis twin: one core's sums broadcast to every lane, lane `l`
+//!   probing task `base + l` of a [`TaskTable`] (N candidates × one core
+//!   in one sweep — the repair search's "which residents fit on core m?").
+//!
+//! Both axes run one lane body (`chunk_verdicts`), generic over where a
+//! lane's resident sums and plus row come from (`LaneInput`), so there is
+//! one copy of the fused kernel, not two.
 //!
 //! # Bit-identity of the batch kernel
 //!
 //! Every lane `l` of the batch kernel performs **exactly the floating-point
-//! operations of the scalar [`kernel_verdict`] on core `base + l`, in the
-//! same order** — lanes never mix (no cross-core reassociation), and the
-//! scalar control flow maps onto masks as follows:
+//! operations of the scalar [`kernel_verdict`] on its own probed view —
+//! core `base + l` (core axis) or task `base + l` added to the broadcast
+//! core (candidate axis) — in the same order**. Lanes never mix (no
+//! cross-lane reassociation); the per-lane `U_j(k)` reads are the scalar
+//! `Added::at` (the candidate axis turns its per-lane level test into a
+//! bitwise select between the two exact branch results); and the scalar
+//! control flow maps onto masks as follows:
 //!
 //! * the λ-break (`λ_kk` invalid ⇒ stop) becomes a per-lane `alive` flag:
 //!   once false, the lane's µ product freezes and its Eq. (9) folds are
@@ -38,8 +50,9 @@
 //!   are never written to an emitted verdict, so garbage in, nothing out.
 //!
 //! The audit rule `batch-kernel-consistency` re-checks batch-vs-scalar bit
-//! equality on live partitions, and `tests/probe_engine_differential.rs`
-//! fuzzes it across K ∈ {2..8} and M ∈ {2, 8, 128}.
+//! equality on live partitions along both axes, and
+//! `tests/probe_engine_differential.rs` fuzzes it across K ∈ {2..8},
+//! M ∈ {2, 8, 128} and candidate counts crossing the lane boundary.
 
 use mcs_model::{CritLevel, TaskSet, MAX_LEVELS};
 
@@ -61,11 +74,19 @@ pub const LANES: usize = 8;
 /// (0.0 above the task's own level), so [`Self::row`] materializes a
 /// [`TaskRow`] whose cached divisions are verbatim copies of
 /// [`mcs_model::McTask::util`] — substituting the table for per-task rows
-/// cannot change any probe result.
+/// cannot change any probe result. Only the system's `K` planes are
+/// stored: no row has a level above `K`, so no read reaches past them.
+///
+/// Both columns end in [`LANES`] padding slots (level 0, which matches no
+/// row of the level triangle), so the candidate-axis kernel reads whole
+/// lanes of tasks without tail handling: a tail lane's plane read lands
+/// in the next plane or the padding, and its level 0 discards it.
 #[derive(Clone, Debug, Default)]
 pub struct TaskTable {
     n: usize,
-    /// `levels[i]` = own criticality level of task `i`.
+    /// Highest own criticality level in the table.
+    max_level: u8,
+    /// `levels[i]` = own criticality level of task `i` (0 on padding).
     levels: Vec<u8>,
     /// `planes[k * n + i]` = `u_i(k+1)`, 0.0 for `k+1 > l_i`.
     planes: Vec<f64>,
@@ -84,8 +105,10 @@ impl TaskTable {
         self.n = tasks.len();
         self.levels.clear();
         self.levels.extend(tasks.iter().map(|t| t.level().get()));
+        self.max_level = self.levels.iter().copied().max().unwrap_or(0);
+        self.levels.resize(self.n + LANES, 0);
         self.planes.clear();
-        self.planes.resize(ML * self.n, 0.0);
+        self.planes.resize(usize::from(ts.num_levels()) * self.n + LANES, 0.0);
         for (i, t) in tasks.iter().enumerate() {
             for k in CritLevel::up_to(t.level().get()) {
                 self.planes[k.index() * self.n + i] = t.util(k);
@@ -384,26 +407,92 @@ impl CoreView<'_> {
     }
 }
 
-/// One lane-chunk's worth of `U_j(k) (+ u(k))` — the batch counterpart of
-/// `Added::at`, applied to [`LANES`] consecutive cores at once. The
-/// `j == level` test is hoisted outside the lane loop (it depends only on
-/// `(j, plus)`), so the inner loops are branch-free; the taken branch adds
-/// the identical `v + u` the scalar view computes, the other copies the
-/// plane verbatim (never `v + 0.0`, which would rewrite a `-0.0` sum).
-// lint: no_alloc
-#[inline(always)]
-fn lane_at(bank: &CoreBank, base: usize, j: u8, kk: u8, plus: &TaskRow) -> [f64; LANES] {
-    let seg = &bank.planes[tri(j, kk) * bank.stride + base..][..LANES];
-    let mut out = [0.0; LANES];
-    if j == plus.level {
-        let u = plus.utils[usize::from(kk - 1)];
-        for (o, s) in out.iter_mut().zip(seg) {
-            *o = s + u;
+/// Per-lane inputs of the fused batch kernel: `U_j(k)` of each lane's
+/// probed view `Ψ ∪ {plus}` for in-triangle `(j, kk)`, [`LANES`] lanes at
+/// once. The kernel body ([`chunk_verdicts`]) is written once against this
+/// trait; the two axes differ only in where a lane's resident sums and
+/// plus row come from:
+///
+/// * [`CoreLanes`] — lane `l` is core `base + l` of a [`CoreBank`], every
+///   lane probing the same plus row (one candidate × all cores);
+/// * [`CandidateLanes`] — every lane reads one core's sums (broadcast) and
+///   lane `l` probes task `base + l` of a [`TaskTable`] (one core × all
+///   candidates).
+///
+/// Both implement the scalar `Added::at` per lane: `v + u` when `j` is the
+/// lane's plus level, else `v` copied verbatim (never `v + 0.0`, which
+/// would rewrite a `-0.0` sum).
+trait LaneInput {
+    /// Lane values of `U_j(k) (+ u(k))`.
+    fn at(&self, j: u8, kk: u8) -> [f64; LANES];
+}
+
+/// Core-axis lane input: cores `base..base + LANES` of the bank probing one
+/// shared plus row.
+struct CoreLanes<'a> {
+    bank: &'a CoreBank,
+    base: usize,
+    plus: &'a TaskRow,
+}
+
+impl LaneInput for CoreLanes<'_> {
+    /// The `j == level` test is hoisted outside the lane loop (it depends
+    /// only on `(j, plus)`), so the inner loops are branch-free.
+    // lint: no_alloc
+    #[inline(always)]
+    fn at(&self, j: u8, kk: u8) -> [f64; LANES] {
+        let bank = self.bank;
+        let seg = &bank.planes[tri(j, kk) * bank.stride + self.base..][..LANES];
+        let mut out = [0.0; LANES];
+        if j == self.plus.level {
+            let u = self.plus.utils[usize::from(kk - 1)];
+            for (o, s) in out.iter_mut().zip(seg) {
+                *o = s + u;
+            }
+        } else {
+            out.copy_from_slice(seg);
         }
-    } else {
-        out.copy_from_slice(seg);
+        out
     }
-    out
+}
+
+/// Candidate-axis lane input: one core's triangle sums broadcast to every
+/// lane, lane `l` adding task `base + l`'s row. The level test differs per
+/// lane, so it becomes a full-width compare mask and a bitwise select of
+/// the two scalar branch results.
+struct CandidateLanes<'a> {
+    sums: &'a [f64; TRI_LEN],
+    table: &'a TaskTable,
+    base: usize,
+    /// Lane levels widened to `u64` once per chunk (compare masks stay in
+    /// 64-bit vector lanes).
+    levels: [u64; LANES],
+}
+
+impl<'a> CandidateLanes<'a> {
+    // lint: no_alloc
+    #[inline(always)]
+    fn new(sums: &'a [f64; TRI_LEN], table: &'a TaskTable, base: usize) -> Self {
+        let mut levels = [0u64; LANES];
+        for (l, &lv) in levels.iter_mut().zip(&table.levels[base..][..LANES]) {
+            *l = u64::from(lv);
+        }
+        Self { sums, table, base, levels }
+    }
+}
+
+impl LaneInput for CandidateLanes<'_> {
+    // lint: no_alloc
+    #[inline(always)]
+    fn at(&self, j: u8, kk: u8) -> [f64; LANES] {
+        let s = self.sums[tri(j, kk)];
+        let u = &self.table.planes[usize::from(kk - 1) * self.table.n + self.base..][..LANES];
+        let mut out = [0.0; LANES];
+        for l in 0..LANES {
+            out[l] = lane_sel(lane_mask(self.levels[l] == u64::from(j)), s + u[l], s);
+        }
+        out
+    }
 }
 
 /// All-ones / all-zeros lane mask of a predicate — comparisons lower to
@@ -424,8 +513,28 @@ fn lane_sel(mask: u64, a: f64, b: f64) -> f64 {
     f64::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
 }
 
-/// The batch Theorem-1 kernel: verdicts of `Ψ_m ∪ {plus}` for **every**
-/// core `m` of the bank, in one sweep over the contiguous planes.
+/// Monomorphize a sweep per system level count: with `K` const, every
+/// level loop of the kernel fully unrolls, so the per-lane state arrays
+/// live in vector registers across the whole chunk instead of bouncing
+/// through the stack between loops (a ~2× throughput difference at K ≥ 4).
+macro_rules! dispatch_k {
+    ($k:expr, $sweep:ident($($arg:expr),*)) => {
+        match $k {
+            1 => $sweep::<1>($($arg),*),
+            2 => $sweep::<2>($($arg),*),
+            3 => $sweep::<3>($($arg),*),
+            4 => $sweep::<4>($($arg),*),
+            5 => $sweep::<5>($($arg),*),
+            6 => $sweep::<6>($($arg),*),
+            7 => $sweep::<7>($($arg),*),
+            8 => $sweep::<8>($($arg),*),
+            _ => unreachable!("CoreBank::reset bounds K to 1..=MAX_LEVELS"), // lint: allow(panic-policy, K > MAX_LEVELS is rejected at CoreBank::reset; this arm is dead by construction)
+        }
+    };
+}
+
+/// The core-axis batch Theorem-1 kernel: verdicts of `Ψ_m ∪ {plus}` for
+/// **every** core `m` of the bank, in one sweep over the contiguous planes.
 /// `out` is a reusable scratch buffer (cleared, then one [`Verdict`] per
 /// core in core order); each emitted verdict is bit-identical to
 /// `bank.view(m).probe_verdict(plus)` — see the module docs for why the
@@ -434,20 +543,136 @@ fn lane_sel(mask: u64, a: f64, b: f64) -> f64 {
 pub fn batch_probe_verdicts(bank: &CoreBank, plus: &TaskRow, out: &mut Vec<Verdict>) {
     assert!(plus.level <= bank.k, "task level {} exceeds system K={}", plus.level, bank.k);
     out.clear();
-    // Monomorphize the sweep per system level count: with `K` const, every
-    // level loop below fully unrolls, so the per-lane state arrays live in
-    // vector registers across the whole chunk instead of bouncing through
-    // the stack between loops (a ~2× throughput difference at K ≥ 4).
-    match bank.k {
-        1 => batch_sweep::<1>(bank, plus, out),
-        2 => batch_sweep::<2>(bank, plus, out),
-        3 => batch_sweep::<3>(bank, plus, out),
-        4 => batch_sweep::<4>(bank, plus, out),
-        5 => batch_sweep::<5>(bank, plus, out),
-        6 => batch_sweep::<6>(bank, plus, out),
-        7 => batch_sweep::<7>(bank, plus, out),
-        8 => batch_sweep::<8>(bank, plus, out),
-        _ => unreachable!("CoreBank::reset bounds K to 1..=MAX_LEVELS"), // lint: allow(panic-policy, K > MAX_LEVELS is rejected at CoreBank::reset; this arm is dead by construction)
+    dispatch_k!(bank.k, core_sweep(bank, plus, out));
+}
+
+/// The candidate-axis batch Theorem-1 kernel: verdicts of `Ψ_m ∪ {τ_i}`
+/// for **every** task `i` of `table` on one core `m`, in task order, into
+/// the reusable `out` buffer. Lane `l` of a chunk evaluates task
+/// `base + l` against core `m`'s sums (read once, broadcast), so each
+/// emitted verdict is bit-identical to
+/// `bank.view(m).probe_verdict(&table.row(i))`.
+// lint: no_alloc
+pub fn batch_probe_candidates(
+    bank: &CoreBank,
+    m: usize,
+    table: &TaskTable,
+    out: &mut Vec<Verdict>,
+) {
+    out.clear();
+    let sink = |_: usize, v: &LaneVerdicts, lanes: usize| {
+        for l in 0..lanes {
+            out.push(v.verdict(l));
+        }
+    };
+    candidate_sweep_k(bank, m, table, sink);
+}
+
+/// Feasibility-bit form of [`batch_probe_candidates`]: bit `i % 64` of
+/// word `i / 64` of `mask` is set exactly when
+/// `batch_probe_candidates(..)[i].feasible()` — the same kernel, only the
+/// sink differs. `mask` needs at least `⌈table.len() / 64⌉` words; the
+/// covered words are overwritten.
+// lint: no_alloc
+pub fn batch_candidate_fits(bank: &CoreBank, m: usize, table: &TaskTable, mask: &mut [u64]) {
+    let words = table.len().div_ceil(64);
+    assert!(mask.len() >= words, "fit mask holds {} words, need {words}", mask.len());
+    mask[..words].fill(0);
+    let sink = |base: usize, v: &LaneVerdicts, lanes: usize| {
+        let mut bits = 0u64;
+        for (l, &has) in v.has.iter().enumerate().take(lanes) {
+            bits |= (has & 1) << l;
+        }
+        // `base` is a multiple of LANES (8), so a chunk never straddles a
+        // 64-bit word.
+        mask[base / 64] |= bits << (base % 64);
+    };
+    candidate_sweep_k(bank, m, table, sink);
+}
+
+/// Shared entry of the candidate-axis sweeps: bounds checks, the one-time
+/// broadcast copy of core `m`'s triangle, and the `K` dispatch.
+// lint: no_alloc
+#[inline(always)]
+fn candidate_sweep_k(
+    bank: &CoreBank,
+    m: usize,
+    table: &TaskTable,
+    sink: impl FnMut(usize, &LaneVerdicts, usize),
+) {
+    assert!(m < bank.cores);
+    assert!(
+        table.max_level <= bank.k,
+        "task level {} exceeds system K={}",
+        table.max_level,
+        bank.k
+    );
+    let mut sums = [0.0f64; TRI_LEN];
+    for j in 1..=bank.k {
+        for kk in 1..=j {
+            sums[tri(j, kk)] = bank.planes[tri(j, kk) * bank.stride + m];
+        }
+    }
+    dispatch_k!(bank.k, candidate_sweep(&sums, table, sink));
+}
+
+/// One full core-axis sweep for a compile-time level count `K` (equal to
+/// the bank's runtime `k`, enforced by the dispatcher).
+// lint: no_alloc
+fn core_sweep<const K: u8>(bank: &CoreBank, plus: &TaskRow, out: &mut Vec<Verdict>) {
+    debug_assert_eq!(bank.k, K);
+    let mut base = 0;
+    while base < bank.cores {
+        let v = chunk_verdicts::<K, _>(&CoreLanes { bank, base, plus });
+        for l in 0..LANES.min(bank.cores - base) {
+            out.push(v.verdict(l));
+        }
+        base += LANES;
+    }
+}
+
+/// One full candidate-axis sweep for a compile-time level count `K`:
+/// chunks of [`LANES`] tasks against the broadcast core sums, handed to
+/// `sink(base, verdicts, live lanes)`.
+// lint: no_alloc
+fn candidate_sweep<const K: u8>(
+    sums: &[f64; TRI_LEN],
+    table: &TaskTable,
+    mut sink: impl FnMut(usize, &LaneVerdicts, usize),
+) {
+    let mut base = 0;
+    while base < table.n {
+        let v = chunk_verdicts::<K, _>(&CandidateLanes::new(sums, table, base));
+        sink(base, &v, LANES.min(table.n - base));
+        base += LANES;
+    }
+}
+
+/// The verdict fields of one lane chunk, before the `Option` tags are
+/// attached: `has[l]` is the lane's Eq. (9) "some condition satisfied"
+/// flag (all-ones or zero), `util`/`slack` the values its verdict carries
+/// when set.
+struct LaneVerdicts {
+    olt: [f64; LANES],
+    util: [f64; LANES],
+    slack: [f64; LANES],
+    has: [u64; LANES],
+}
+
+impl LaneVerdicts {
+    /// Lane `l` as a [`Verdict`]. `then_some` (not if/else) so the
+    /// Some/None tag is a data move, not a per-lane data-dependent branch:
+    /// with hundreds of task sets cycling through the predictor, 16 such
+    /// branches per chunk were the dominant misprediction source.
+    // lint: no_alloc
+    #[inline(always)]
+    fn verdict(&self, l: usize) -> Verdict {
+        let found = self.has[l] != 0;
+        Verdict {
+            own_level_total: self.olt[l],
+            core_utilization: found.then_some(self.util[l]),
+            core_utilization_slack: found.then_some(self.slack[l]),
+        }
     }
 }
 
@@ -459,22 +684,20 @@ pub fn batch_probe_verdicts(bank: &CoreBank, plus: &TaskRow, out: &mut Vec<Verdi
 /// is straight-line vector code.
 // lint: no_alloc
 #[inline(always)]
-fn lambda_step<const KK: u8, const K: u8>(
-    bank: &CoreBank,
-    base: usize,
-    plus: &TaskRow,
+fn lambda_step<const KK: u8, const K: u8, I: LaneInput>(
+    input: &I,
     muprod: &mut [f64; LANES],
     alive: &mut [u64; LANES],
 ) -> bool {
     let prev = KK - 1;
     let mut num = [0.0f64; LANES];
     for x in KK..=K {
-        let a = lane_at(bank, base, x, prev, plus);
+        let a = input.at(x, prev);
         for (n, a) in num.iter_mut().zip(&a) {
             *n += a;
         }
     }
-    let pd = lane_at(bank, base, prev, prev, plus);
+    let pd = input.at(prev, prev);
     for l in 0..LANES {
         let n = num[l] / muprod[l];
         let den = 1.0 - pd[l] / muprod[l];
@@ -523,122 +746,107 @@ fn fold_step(
     }
 }
 
-/// One full sweep of the batch kernel for a compile-time level count `K`
-/// (equal to the bank's runtime `k`, enforced by the dispatcher above).
+/// The lane body shared by both axes: the scalar [`kernel_verdict`] on
+/// [`LANES`] independent probed views at once, for a compile-time level
+/// count `K`.
 // lint: no_alloc
-fn batch_sweep<const K: u8>(bank: &CoreBank, plus: &TaskRow, out: &mut Vec<Verdict>) {
-    debug_assert_eq!(bank.k, K);
+#[inline(always)]
+fn chunk_verdicts<const K: u8, I: LaneInput>(input: &I) -> LaneVerdicts {
     let k = K;
-    let mut base = 0;
-    while base < bank.cores {
-        // own_level_total: ascending-k fold per lane.
-        let mut olt = [0.0f64; LANES];
-        for kk in 1..=k {
-            let a = lane_at(bank, base, kk, kk, plus);
-            for (o, a) in olt.iter_mut().zip(&a) {
-                *o += a;
-            }
+    // own_level_total: ascending-k fold per lane.
+    let mut olt = [0.0f64; LANES];
+    for kk in 1..=k {
+        let a = input.at(kk, kk);
+        for (o, a) in olt.iter_mut().zip(&a) {
+            *o += a;
         }
-        if k == 1 {
-            for &olt in olt.iter().take(bank.cores - base) {
-                let u = (olt <= 1.0 + EPS).then_some(olt);
-                out.push(Verdict {
-                    own_level_total: olt,
-                    core_utilization: u,
-                    core_utilization_slack: u,
-                });
-            }
-            base += LANES;
-            continue;
-        }
-
-        // min-term: min{ U_K(K), U_K(K-1)/(1-U_K(K)) } per lane. The
-        // division runs unconditionally (IEEE ∞/NaN, no traps) and the
-        // guard becomes a select, so the loop is a straight vector lane.
-        let ukk = lane_at(bank, base, k, k, plus);
-        let ukk1 = lane_at(bank, base, k, k - 1, plus);
-        let mut minterm = [0.0f64; LANES];
-        for l in 0..LANES {
-            let q = ukk1[l] / (1.0 - ukk[l]);
-            let fraction = if 1.0 - ukk[l] > EPS { q } else { f64::INFINITY };
-            minterm[l] = ukk[l].min(fraction);
-        }
-
-        // θ(k) suffix sums, built descending as the scalar kernel does.
-        let mut suffix = [0.0f64; LANES];
-        let mut thetas = [[0.0f64; LANES]; ML];
-        for i in (1..=k - 1).rev() {
-            let a = lane_at(bank, base, i, i, plus);
-            let th = &mut thetas[usize::from(i - 1)];
-            for l in 0..LANES {
-                suffix[l] += a[l];
-                th[l] = suffix[l] + minterm[l];
-            }
-        }
-
-        // Fused λ recursion / µ product / Eq. (9) folds. `alive[l]` is the
-        // mask form of the scalar λ-break; the Option accumulators become
-        // value+flag pairs with the same max operand order. Every lane
-        // computes unconditionally and commits through selects — divisions
-        // on dead or guarded lanes produce IEEE ∞/NaN that the selects
-        // discard, never a trap — so each loop body is straight-line
-        // vector code. The scalar kernel folds `best` and `best_slack`
-        // under one shared condition, so a single `has` flag serves both.
-        let mut alive = [u64::MAX; LANES];
-        let mut muprod = [1.0f64; LANES];
-        let mut best = [0.0f64; LANES];
-        let mut best_slack = [0.0f64; LANES];
-        let mut has = [0u64; LANES];
-        // The scalar `for kk in 1..=K-1` recursion, unrolled by hand into
-        // const-generic steps: LLVM refuses to unroll the rolled loop (the
-        // body is past its size threshold), which forces every lane array
-        // through the stack on each iteration. Spelled out per `kk`, the
-        // whole fused section keeps its state in vector registers. `K ≥ n`
-        // gates are compile-time, so each monomorphization carries exactly
-        // its own steps; the λ-break becomes `break 'fused`.
-        'fused: {
-            fold_step(&thetas[0], &muprod, &alive, &mut best, &mut best_slack, &mut has);
-            macro_rules! step {
-                ($kk:literal) => {
-                    if K > $kk {
-                        if !lambda_step::<$kk, K>(bank, base, plus, &mut muprod, &mut alive) {
-                            // Every lane broke — nothing further can fold
-                            // (the scalar kernels have all returned too).
-                            break 'fused;
-                        }
-                        fold_step(
-                            &thetas[$kk - 1],
-                            &muprod,
-                            &alive,
-                            &mut best,
-                            &mut best_slack,
-                            &mut has,
-                        );
-                    }
-                };
-            }
-            step!(2);
-            step!(3);
-            step!(4);
-            step!(5);
-            step!(6);
-            step!(7);
-        }
-
-        for l in 0..LANES.min(bank.cores - base) {
-            // `then_some` (not if/else) so the Some/None tag is a data move,
-            // not a per-lane data-dependent branch: with hundreds of task
-            // sets cycling through the predictor, 16 such branches per chunk
-            // were the dominant misprediction source.
-            let found = has[l] != 0;
-            out.push(Verdict {
-                own_level_total: olt[l],
-                core_utilization: found.then_some(best[l]),
-                core_utilization_slack: found.then_some(1.0 - best_slack[l]),
-            });
-        }
-        base += LANES;
     }
+    if k == 1 {
+        let mut has = [0u64; LANES];
+        for (h, &o) in has.iter_mut().zip(&olt) {
+            *h = lane_mask(o <= 1.0 + EPS);
+        }
+        return LaneVerdicts { olt, util: olt, slack: olt, has };
+    }
+
+    // min-term: min{ U_K(K), U_K(K-1)/(1-U_K(K)) } per lane. The division
+    // runs unconditionally (IEEE ∞/NaN, no traps) and the guard becomes a
+    // select, so the loop is a straight vector lane.
+    let ukk = input.at(k, k);
+    let ukk1 = input.at(k, k - 1);
+    let mut minterm = [0.0f64; LANES];
+    for l in 0..LANES {
+        let q = ukk1[l] / (1.0 - ukk[l]);
+        let fraction = if 1.0 - ukk[l] > EPS { q } else { f64::INFINITY };
+        minterm[l] = ukk[l].min(fraction);
+    }
+
+    // θ(k) suffix sums, built descending as the scalar kernel does.
+    let mut suffix = [0.0f64; LANES];
+    let mut thetas = [[0.0f64; LANES]; ML];
+    for i in (1..=k - 1).rev() {
+        let a = input.at(i, i);
+        let th = &mut thetas[usize::from(i - 1)];
+        for l in 0..LANES {
+            suffix[l] += a[l];
+            th[l] = suffix[l] + minterm[l];
+        }
+    }
+
+    // Fused λ recursion / µ product / Eq. (9) folds. `alive[l]` is the
+    // mask form of the scalar λ-break; the Option accumulators become
+    // value+flag pairs with the same max operand order. Every lane
+    // computes unconditionally and commits through selects — divisions on
+    // dead or guarded lanes produce IEEE ∞/NaN that the selects discard,
+    // never a trap — so each loop body is straight-line vector code. The
+    // scalar kernel folds `best` and `best_slack` under one shared
+    // condition, so a single `has` flag serves both.
+    let mut alive = [u64::MAX; LANES];
+    let mut muprod = [1.0f64; LANES];
+    let mut best = [0.0f64; LANES];
+    let mut best_slack = [0.0f64; LANES];
+    let mut has = [0u64; LANES];
+    // The scalar `for kk in 1..=K-1` recursion, unrolled by hand into
+    // const-generic steps: LLVM refuses to unroll the rolled loop (the
+    // body is past its size threshold), which forces every lane array
+    // through the stack on each iteration. Spelled out per `kk`, the whole
+    // fused section keeps its state in vector registers. `K ≥ n` gates are
+    // compile-time, so each monomorphization carries exactly its own
+    // steps; the λ-break becomes `break 'fused`.
+    'fused: {
+        fold_step(&thetas[0], &muprod, &alive, &mut best, &mut best_slack, &mut has);
+        macro_rules! step {
+            ($kk:literal) => {
+                if K > $kk {
+                    if !lambda_step::<$kk, K, I>(input, &mut muprod, &mut alive) {
+                        // Every lane broke — nothing further can fold (the
+                        // scalar kernels have all returned too).
+                        break 'fused;
+                    }
+                    fold_step(
+                        &thetas[$kk - 1],
+                        &muprod,
+                        &alive,
+                        &mut best,
+                        &mut best_slack,
+                        &mut has,
+                    );
+                }
+            };
+        }
+        step!(2);
+        step!(3);
+        step!(4);
+        step!(5);
+        step!(6);
+        step!(7);
+    }
+
+    let mut slack = [0.0f64; LANES];
+    for (s, b) in slack.iter_mut().zip(&best_slack) {
+        *s = 1.0 - b;
+    }
+    LaneVerdicts { olt, util: best, slack, has }
 }
 
 #[cfg(test)]
@@ -755,6 +963,56 @@ mod tests {
                         assert_verdicts_bit_equal(v, &oracle[m].probe_verdict(&row));
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_kernel_matches_scalar_views_bitwise() {
+        for k in [1u8, 2, 3, 4, 5, 8] {
+            let ts = mixed_set(k);
+            for cores in [1usize, 3, 9] {
+                let (table, bank, oracle) = dealt(&ts, cores);
+                let mut out = Vec::new();
+                let mut mask = [u64::MAX; 2];
+                for m in 0..cores {
+                    batch_probe_candidates(&bank, m, &table, &mut out);
+                    batch_candidate_fits(&bank, m, &table, &mut mask);
+                    assert_eq!(out.len(), table.len());
+                    for (i, v) in out.iter().enumerate() {
+                        let row = table.row(i);
+                        assert_verdicts_bit_equal(v, &bank.view(m).probe_verdict(&row));
+                        assert_verdicts_bit_equal(v, &oracle[m].probe_verdict(&row));
+                        assert_eq!(mask[i / 64] >> (i % 64) & 1 == 1, v.feasible(), "k {k} m {m}");
+                    }
+                    // Bits past the last task stay clear.
+                    assert_eq!(mask[0] >> table.len(), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_kernel_covers_overloaded_and_boundary_lanes() {
+        // An overloaded core sends lanes through the λ-break path, and the
+        // 12-task table leaves a 4-lane tail chunk.
+        let ts = mixed_set(4);
+        let (table, mut bank, mut oracle) = dealt(&ts, 5);
+        for _ in 0..6 {
+            let row = table.row(1);
+            bank.add(0, &row);
+            oracle[0].add(&row);
+        }
+        let mut out = Vec::new();
+        for m in 0..5 {
+            batch_probe_candidates(&bank, m, &table, &mut out);
+            for (i, v) in out.iter().enumerate() {
+                assert_verdicts_bit_equal(v, &oracle[m].probe_verdict(&table.row(i)));
+            }
+            if m == 0 {
+                assert!(out.iter().all(|v| !v.feasible()), "core 0 should be overloaded");
+            } else {
+                assert!(out.iter().any(Verdict::feasible), "core {m} should take some task");
             }
         }
     }

@@ -1,12 +1,18 @@
 //! Rule `batch-kernel-consistency`: the struct-of-arrays batch probe
-//! kernel ([`batch_probe_verdicts`] over a [`CoreBank`]) must agree *bit
-//! for bit* with the scalar per-core probe path ([`CoreView::probe_verdict`]
-//! and the [`CoreSums`] oracle) on live partitions. The placement loops
-//! consume the batch verdicts directly, so any lane-wise divergence —
-//! masking bugs, reassociated sums, padding leaking into real lanes —
-//! silently changes experiment figures.
+//! kernel must agree *bit for bit* with the scalar per-core probe path
+//! ([`CoreView::probe_verdict`] and the [`CoreSums`] oracle) on live
+//! partitions, along both of its axes: the core axis
+//! ([`batch_probe_verdicts`], one candidate × every core) and the
+//! candidate axis ([`batch_probe_candidates`] / [`batch_candidate_fits`],
+//! every task × one core — the repair search's memo refresh). The
+//! placement loops consume the batch verdicts directly, so any lane-wise
+//! divergence — masking bugs, reassociated sums, padding leaking into real
+//! lanes — silently changes experiment figures.
 
-use mcs_analysis::{batch_probe_verdicts, CoreBank, CoreSums, TaskRow, TaskTable, Verdict};
+use mcs_analysis::{
+    batch_candidate_fits, batch_probe_candidates, batch_probe_verdicts, CoreBank, CoreSums,
+    TaskRow, TaskTable, Verdict,
+};
 use mcs_model::CoreId;
 
 use crate::diagnostic::{Diagnostic, Subject};
@@ -19,9 +25,11 @@ pub const ID: &str = "batch-kernel-consistency";
 /// Rebuilds the [`TaskTable`] + [`CoreBank`] pair from the partition under
 /// audit (task-id order per core, the same order every other rebuild in
 /// this crate uses), then cross-checks a stride-sampled subset of candidate
-/// tasks: one batch sweep per candidate, every lane compared bitwise
-/// against both the strided [`CoreView`] scalar verdict and an independent
-/// contiguous [`CoreSums`] verdict for the same core.
+/// tasks: one core-axis sweep per candidate and one candidate-axis sweep
+/// per core, every sampled lane compared bitwise against both the strided
+/// [`CoreView`] scalar verdict and an independent contiguous [`CoreSums`]
+/// verdict for the same (task, core), and every fit bit against the
+/// scalar feasibility.
 ///
 /// [`CoreView`]: mcs_analysis::CoreView
 pub struct BatchKernelConsistency;
@@ -72,7 +80,7 @@ impl Invariant for BatchKernelConsistency {
     }
 
     fn description(&self) -> &'static str {
-        "SoA batch probe kernel is bit-identical to the scalar probe path per lane"
+        "SoA batch probe kernel (core and candidate axes) is bit-identical to the scalar probe path per lane"
     }
 
     fn check(&self, ctx: &AuditContext<'_>, out: &mut Vec<Diagnostic>) {
@@ -157,6 +165,48 @@ impl Invariant for BatchKernelConsistency {
                     report_mismatch(core, &label, "CoreView", lane, &scalar, out);
                 }
                 let reference = oracle[m].probe_verdict(&TaskRow::new(&ctx.ts.tasks()[i]));
+                if !verdicts_bit_equal(lane, &reference) {
+                    report_mismatch(core, &label, "CoreSums", lane, &reference, out);
+                }
+            }
+        }
+
+        // Candidate axis: one sweep of every task per core, the sampled
+        // lanes compared against both scalar paths, every fit bit against
+        // the sweep's own verdict.
+        let mut mask = vec![0u64; n.div_ceil(64)];
+        for (m, sums) in oracle.iter().enumerate() {
+            let core = CoreId(u16::try_from(m).expect("core index fits u16"));
+            batch_probe_candidates(&bank, m, &tasks, &mut batch);
+            batch_candidate_fits(&bank, m, &tasks, &mut mask);
+            if batch.len() != n {
+                out.push(Diagnostic::error(
+                    ID,
+                    Subject::Core(core),
+                    format!("candidate kernel emitted {} verdicts for {n} tasks", batch.len()),
+                ));
+                continue;
+            }
+            for (i, lane) in batch.iter().enumerate() {
+                if (mask[i / 64] >> (i % 64) & 1 == 1) != lane.feasible() {
+                    out.push(Diagnostic::error(
+                        ID,
+                        Subject::Core(core),
+                        format!(
+                            "candidate fit bit of task {} disagrees with its lane verdict",
+                            ctx.ts.tasks()[i].id()
+                        ),
+                    ));
+                }
+            }
+            for i in (0..n).step_by(stride).take(MAX_BATCH_CANDIDATES) {
+                let lane = &batch[i];
+                let label = format!("candidate-axis probe of task {}", ctx.ts.tasks()[i].id());
+                let scalar = bank.view(m).probe_verdict(&tasks.row(i));
+                if !verdicts_bit_equal(lane, &scalar) {
+                    report_mismatch(core, &label, "CoreView", lane, &scalar, out);
+                }
+                let reference = sums.probe_verdict(&TaskRow::new(&ctx.ts.tasks()[i]));
                 if !verdicts_bit_equal(lane, &reference) {
                     report_mismatch(core, &label, "CoreSums", lane, &reference, out);
                 }

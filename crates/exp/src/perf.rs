@@ -25,7 +25,11 @@
 //! `null` with `runner_overhead_below_resolution` when unmeasurable). A
 //! third section bounds the `mcs-obs` telemetry cost on the batch probe
 //! hot path (raw kernel loop vs the instrumented
-//! `ProbeEngine::probe_all_cores`).
+//! `ProbeEngine::probe_all_cores`). The admission section replays two
+//! lifecycle streams through the online `AdmissionEngine`: the default
+//! churn stream, almost all direct admits, and a saturated one
+//! ([`SATURATED_NSU`], [`SATURATED_TRACE`]) where most of the time goes to
+//! the repair search before a reject.
 //!
 //! Results render as a table, as JSON (`--json`), and are recorded to
 //! `BENCH_partition.json` in the working directory so the repository keeps
@@ -268,6 +272,10 @@ pub struct PerfReport {
     pub runner: RunnerPerf,
     /// Online admission-stream throughput (the `mcs-exp admit` hot path).
     pub admission: AdmissionPerf,
+    /// The same stream over saturated universes ([`SATURATED_NSU`],
+    /// [`SATURATED_TRACE`]): about a third of the arrivals run — and
+    /// mostly fail — the repair search, so this is the slow path's figure.
+    pub admission_saturated: AdmissionPerf,
     /// Flight-recorder overhead on the admission hot path (gate off vs on).
     pub recorder: RecorderPerf,
     /// Simulator-engine throughput (tick oracle vs discrete-event engine).
@@ -346,6 +354,12 @@ impl PerfReport {
             "-".into(),
             format!("{:.0}", self.admission.admissions_per_sec),
             format!("accept {:.3}", self.admission.accept_ratio),
+        ]);
+        t.push_row([
+            "admission stream saturated (dec/s)".into(),
+            "-".into(),
+            format!("{:.0}", self.admission_saturated.admissions_per_sec),
+            format!("accept {:.3}", self.admission_saturated.accept_ratio),
         ]);
         t.push_row([
             "flight recorder admission (dec/s)".into(),
@@ -451,6 +465,11 @@ impl PerfReport {
         let _ = writeln!(out, "  \"admission_accept_ratio\": {:.4},", self.admission.accept_ratio);
         let _ =
             writeln!(out, "  \"admission_state_identical\": {},", self.admission.state_identical);
+        let sat = &self.admission_saturated;
+        let _ = writeln!(out, "  \"admissions_saturated_per_sec\": {:.1},", sat.admissions_per_sec);
+        let _ = writeln!(out, "  \"admission_saturated_accept_ratio\": {:.4},", sat.accept_ratio);
+        let _ =
+            writeln!(out, "  \"admission_saturated_state_identical\": {},", sat.state_identical);
         let _ = writeln!(out, "  \"recorder_compiled\": {},", mcs_obs::RECORDER);
         let _ = writeln!(
             out,
@@ -881,17 +900,29 @@ fn runner_rates(
     RunnerPerf { inline_per_sec, runner_per_sec, dispatch_ns_per_trial: dispatch_overhead_ns(seed) }
 }
 
+/// Universe NSU of the saturated admission stream: resident demand past
+/// capacity, so rejects (and failed repair searches) are common.
+pub const SATURATED_NSU: f64 = 1.0;
+/// Trace shape of the saturated admission stream (the `admit-saturated`
+/// benchmark workload's shape): long traces with few departures.
+pub const SATURATED_TRACE: TraceParams = TraceParams { ops: 512, depart_ratio: 0.15 };
+
 /// Time the online admission hot path: one CA-TPA [`AdmissionEngine`]
-/// replays a deterministic lifecycle trace per task set (the exact
-/// `mcs-exp admit` per-trial work), repeated until [`MIN_TIMED`] elapses.
-/// The warm-up pass also evaluates the rebuild-identity gate and the
-/// accept ratio, so both are measured on the same streams the rate is.
-fn admission_rates(sets: &[TaskSet], cores: usize, seed: u64) -> AdmissionPerf {
-    let trace = TraceParams::default();
+/// replays a deterministic lifecycle trace of shape `trace` per task set
+/// (the exact `mcs-exp admit` per-trial work), repeated until
+/// [`MIN_TIMED`] elapses. The warm-up pass also evaluates the
+/// rebuild-identity gate and the accept ratio, so both are measured on the
+/// same streams the rate is.
+fn admission_rates(
+    sets: &[TaskSet],
+    cores: usize,
+    trace: &TraceParams,
+    seed: u64,
+) -> AdmissionPerf {
     let traces: Vec<Vec<TraceOp>> = sets
         .iter()
         .enumerate()
-        .map(|(i, ts)| generate_trace(ts.len(), &trace, trial_seed(seed, i)))
+        .map(|(i, ts)| generate_trace(ts.len(), trace, trial_seed(seed, i)))
         .collect();
     let decisions_per_pass: u64 = traces
         .iter()
@@ -1224,7 +1255,12 @@ pub fn run(config: &SweepConfig) -> PerfReport {
     let engine_per_sec = n / eng_total;
 
     let runner = runner_rates(&params, &engine, batch, config.seed);
-    let admission = admission_rates(&sets, params.cores, config.seed);
+    let admission = admission_rates(&sets, params.cores, &TraceParams::default(), config.seed);
+    let saturated_params = params.clone().with_nsu(SATURATED_NSU);
+    let saturated: Vec<TaskSet> =
+        (0..batch).map(|i| generate_task_set(&saturated_params, config.seed + i as u64)).collect();
+    let admission_saturated =
+        admission_rates(&saturated, params.cores, &SATURATED_TRACE, config.seed);
     let recorder = recorder_rates(&sets, params.cores, config.seed);
     let sim = sim_rates();
 
@@ -1246,6 +1282,7 @@ pub fn run(config: &SweepConfig) -> PerfReport {
         engine_per_sec,
         runner,
         admission,
+        admission_saturated,
         recorder,
         sim,
         sweep_trials_per_sec,
@@ -1332,13 +1369,14 @@ pub fn history_line(r: &PerfReport) -> String {
     format!(
         "{{\"git\":\"{}\",\"build_profile\":\"{}\",\"probe_path_engine_per_sec\":{:.1},\
          \"engine_partitions_per_sec\":{:.1},\"admissions_per_sec\":{:.1},\
-         \"sim_events_per_sec\":{:.1},\"sweep_trials_per_sec\":{:.1},\
+         \"admissions_saturated_per_sec\":{:.1},\"sim_events_per_sec\":{:.1},\"sweep_trials_per_sec\":{:.1},\
          \"recorder_admission_overhead_pct\":{:.2}}}",
         mcs_harness::json::escape(&mcs_obs::git_describe()),
         if cfg!(debug_assertions) { "debug" } else { "release" },
         r.probe.batch_per_sec,
         r.engine_per_sec,
         r.admission.admissions_per_sec,
+        r.admission_saturated.admissions_per_sec,
         r.sim.event_events_per_sec,
         r.sweep_trials_per_sec,
         r.recorder.overhead_pct(),
@@ -1371,6 +1409,10 @@ mod tests {
         assert!(r.admission.admissions_per_sec > 0.0);
         assert!(r.admission.accept_ratio > 0.0 && r.admission.accept_ratio <= 1.0);
         assert!(r.admission.state_identical, "admission state drifted from the rebuild");
+        let sat = &r.admission_saturated;
+        assert!(sat.admissions_per_sec > 0.0);
+        assert!(sat.accept_ratio < r.admission.accept_ratio, "saturated stream must reject more");
+        assert!(sat.state_identical, "saturated admission state drifted from the rebuild");
         assert!(r.sim.trace_identical, "event engine diverged from the tick oracle");
         assert!(r.sim.events_per_run > 0);
         assert!(r.sim.tick_events_per_sec > 0.0 && r.sim.event_events_per_sec > 0.0);
@@ -1386,6 +1428,8 @@ mod tests {
         assert!(json.contains("\"admissions_per_sec\""));
         assert!(json.contains("\"admission_accept_ratio\""));
         assert!(json.contains("\"admission_state_identical\": true"));
+        assert!(json.contains("\"admissions_saturated_per_sec\""));
+        assert!(json.contains("\"admission_saturated_state_identical\": true"));
         assert!(json.contains("\"sim_events_per_sec\""));
         assert!(json.contains("\"sim_tick_events_per_sec\""));
         assert!(json.contains("\"sim_event_speedup\""));

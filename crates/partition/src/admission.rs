@@ -9,9 +9,9 @@
 //! * [`AdmissionEngine::admit`] — probe every core in one batch sweep,
 //!   pick a target under the configured [`AdmissionPolicy`], commit the
 //!   placement in O(K), and return the [`Decision`]. When no core can
-//!   absorb the task directly, a repair move search (the `repair.rs`
-//!   relocation, seeded from the engine's **live** sums — no rebuild)
-//!   tries to relocate one resident task to make room;
+//!   absorb the task directly, the memoized [`RepairSearch`] (seeded from
+//!   the engine's **live** sums — no rebuild) tries to relocate one
+//!   resident task to make room;
 //! * [`AdmissionEngine::depart`] — remove a resident task. Departures
 //!   *refold* the affected core: its sums are cleared and the survivors
 //!   re-accumulated in arrival order, so the live state is bit-identical
@@ -37,7 +37,9 @@ use mcs_obs::{Counter, EventKind, Phase};
 
 use crate::catpa::select_core;
 use crate::engine::ProbeEngine;
+use crate::reference::reference_repair_move;
 use crate::registry::{SchemeFlags, SchemeInfo, SchemeRegistry};
+use crate::repair::{RepairMove, RepairSearch};
 use crate::DEFAULT_ALPHA;
 
 /// The outcome of one admission request.
@@ -151,6 +153,67 @@ pub struct AdmissionStats {
     pub repair_moves: u64,
 }
 
+/// Apply one repair move on the live state: evict `cand` from `from` by
+/// refolding the survivors, re-probe `stuck` on the refolded sums, then
+/// re-place `cand` on `to`. Returns `stuck`'s core and utilization.
+///
+/// The search decided step (a) on the swap probe's clamped-subtraction
+/// view, and the refold can differ from that view by an ulp. When the
+/// re-probe says `stuck` no longer fits, `cand` goes back to its original
+/// position in the member list and the core is refolded again — a refold
+/// is a pure function of the member list, so the state is bit-identical
+/// to before — and `None` tells the search to continue.
+fn apply_repair(
+    engine: &mut ProbeEngine,
+    members: &mut [Vec<TaskId>],
+    home: &mut [Option<u16>],
+    stats: &mut AdmissionStats,
+    stuck: TaskId,
+    mv: RepairMove,
+) -> Option<(usize, f64)> {
+    let RepairMove { from: m, cand, to: m2 } = mv;
+    let pos = members[m]
+        .iter()
+        .position(|t| *t == cand)
+        .expect("the repair candidate is resident on its core");
+    members[m].remove(pos);
+    engine.refold_core(m, &members[m]);
+    let Some(stuck_u) = engine.probe_verdict(m, stuck).core_utilization else {
+        members[m].insert(pos, cand);
+        engine.refold_core(m, &members[m]);
+        return None;
+    };
+    engine.note_repair_move();
+    stats.repair_moves += 1;
+    mcs_obs::trace::record(
+        EventKind::AdmissionRepair,
+        0,
+        u64::from(stuck.0),
+        u64::from(cand.0),
+        ((m as u64) << 32) | m2 as u64,
+    );
+    // Re-place `cand` on its new core (`stuck` is placed by the caller).
+    let cand_u =
+        engine.probe_verdict(m2, cand).core_utilization.expect("repair target was probed feasible");
+    place(engine, members, home, cand, m2, cand_u);
+    Some((m, stuck_u))
+}
+
+/// Commit `id` to core `m` with the probed utilization and record it in
+/// the member list / home index.
+fn place(
+    engine: &mut ProbeEngine,
+    members: &mut [Vec<TaskId>],
+    home: &mut [Option<u16>],
+    id: TaskId,
+    m: usize,
+    util: f64,
+) {
+    engine.commit(id, m, util);
+    members[m].push(id);
+    home[id.index()] = Some(u16::try_from(m).expect("core fits u16"));
+}
+
 /// The online admission-control state machine: a [`ProbeEngine`] plus the
 /// per-core member lists (in arrival order) that make exact departures
 /// possible, driven by one [`AdmissionPolicy`].
@@ -169,6 +232,10 @@ pub struct AdmissionEngine {
     /// System criticality level count of the loaded task universe.
     k: u8,
     stats: AdmissionStats,
+    /// The memoized repair search, paired with `engine`.
+    search: RepairSearch,
+    /// Run repair through [`reference_repair_move`] instead of `search`.
+    reference_repair: bool,
 }
 
 impl AdmissionEngine {
@@ -187,6 +254,8 @@ impl AdmissionEngine {
             home: Vec::new(),
             k: 1,
             stats: AdmissionStats::default(),
+            search: RepairSearch::new(),
+            reference_repair: false,
         }
     }
 
@@ -195,6 +264,15 @@ impl AdmissionEngine {
     pub fn with_repair_budget(mut self, budget: usize) -> Self {
         self.repair_budget = budget;
         self.repair_left = budget;
+        self
+    }
+
+    /// Run the repair step through the pre-memo reference search
+    /// ([`reference_repair_move`]) — the differential oracle of the
+    /// memoized [`RepairSearch`]; it picks the same moves, slowly.
+    #[must_use]
+    pub fn with_reference_repair(mut self) -> Self {
+        self.reference_repair = true;
         self
     }
 
@@ -277,20 +355,11 @@ impl AdmissionEngine {
         best.map(|(m, _, new_u)| (m, new_u))
     }
 
-    /// Commit `id` to core `m` with the probed utilization and record it
-    /// in the member list / home index.
-    fn place(&mut self, id: TaskId, m: usize, util: f64) {
-        self.engine.commit(id, m, util);
-        self.members[m].push(id);
-        self.home[id.index()] = Some(u16::try_from(m).expect("core fits u16"));
-    }
-
-    /// Try one relocation making room for `stuck` — the `repair.rs` move
-    /// search run against the engine's live sums (no rebuild): for every
-    /// core `m` and resident `τ'` on `m` (smallest own-level utilization
-    /// first), apply the first move where `stuck` fits on `m` without
-    /// `τ'` and `τ'` fits elsewhere. The eviction side refolds core `m`,
-    /// so the post-repair state keeps the rebuild-identity contract.
+    /// Try one relocation making room for `stuck` — the [`RepairSearch`]
+    /// run against the engine's live sums (no rebuild): the first move
+    /// where `stuck` fits on core `m` without a resident `τ'` and `τ'` fits
+    /// elsewhere. The eviction side refolds core `m`, so the post-repair
+    /// state keeps the rebuild-identity contract.
     fn repair(&mut self, stuck: TaskId) -> Option<(usize, f64)> {
         let _timer = mcs_obs::span(Phase::AdmissionRepair);
         mcs_obs::trace::record(
@@ -300,54 +369,21 @@ impl AdmissionEngine {
             self.engine.num_cores() as u64,
             0,
         );
-        for m in 0..self.engine.num_cores() {
-            let mut candidates = self.members[m].clone();
-            candidates.sort_by(|a, b| {
-                self.engine
-                    .util_own(*a)
-                    .partial_cmp(&self.engine.util_own(*b))
-                    .expect("utilizations are finite")
-            });
-            for cand in candidates {
-                // (a) Would `stuck` fit on m without `cand`?
-                if !self.engine.probe_swap_verdict(m, cand, stuck).feasible() {
-                    continue;
-                }
-                // (b) Does `cand` fit elsewhere?
-                let target = (0..self.engine.num_cores())
-                    .find(|&m2| m2 != m && self.engine.probe_verdict(m2, cand).feasible());
-                let Some(m2) = target else { continue };
-                self.engine.note_repair_move();
-                self.stats.repair_moves += 1;
-                mcs_obs::trace::record(
-                    EventKind::AdmissionRepair,
-                    0,
-                    u64::from(stuck.0),
-                    u64::from(cand.0),
-                    ((m as u64) << 32) | m2 as u64,
-                );
-                // Evict `cand` by refolding m's survivors (exact state).
-                self.members[m].retain(|t| *t != cand);
-                self.home[cand.index()] = None;
-                self.engine.refold_core(m, &self.members[m]);
-                // Re-place `cand` on its new core, then `stuck` on m.
-                let cand_u = self
-                    .engine
-                    .probe_verdict(m2, cand)
-                    .core_utilization
-                    .expect("repair target was probed feasible");
-                self.place(cand, m2, cand_u);
-                let stuck_u = self
-                    .engine
-                    .probe_verdict(m, stuck)
-                    .core_utilization
-                    .expect("stuck fits on the vacated core by the swap probe");
-                mcs_obs::trace::record(EventKind::ProbeSweepEnd, 0, u64::from(stuck.0), 1, 0);
-                return Some((m, stuck_u));
-            }
-        }
-        mcs_obs::trace::record(EventKind::ProbeSweepEnd, 0, u64::from(stuck.0), 0, 0);
-        None
+        let Self { engine, members, home, stats, search, .. } = self;
+        let mut apply = |engine: &mut ProbeEngine, members: &mut [Vec<TaskId>], mv| {
+            apply_repair(engine, members, home, stats, stuck, mv)
+        };
+        let placed = if self.reference_repair {
+            reference_repair_move(engine, members, stuck).map(|mv| {
+                apply(engine, members, mv)
+                    .expect("stuck fits on the vacated core by the swap probe")
+            })
+        } else {
+            search.run(engine, members, stuck, apply)
+        };
+        let outcome = u64::from(placed.is_some());
+        mcs_obs::trace::record(EventKind::ProbeSweepEnd, 0, u64::from(stuck.0), outcome, 0);
+        placed
     }
 
     /// Process one admission request: probe, select under the policy,
@@ -366,7 +402,7 @@ impl AdmissionEngine {
         }
         match placement {
             Some((m, util)) => {
-                self.place(id, m, util);
+                place(&mut self.engine, &mut self.members, &mut self.home, id, m, util);
                 self.stats.admits += 1;
                 mcs_obs::counter!(Counter::AdmissionAdmits);
                 mcs_obs::trace::record(
@@ -634,6 +670,69 @@ mod tests {
         assert!(p.require_complete(&ts).is_ok());
         for t in p.core_tables(&ts) {
             assert!(Theorem1::compute(&t).feasible());
+        }
+    }
+
+    /// K = 1 universe on the refold boundary, with exact dyadic
+    /// utilizations a = A/2^53, c = C/2^55, s = W/2^54 (tasks 0, 1, 3):
+    /// the clamped swap view (a + c) - c rounds one ulp below a, so `s`
+    /// passes step (a) with `c` swapped out — fl(fl(a + c) - c) + s ≤
+    /// 1 + EPS — while the refold of the survivors (a alone) rejects it:
+    /// a + s > 1 + EPS. Task 2 (0.9), first-fit onto core 1, takes `c`
+    /// (step (b)) but neither `a` nor `s`.
+    fn refold_boundary_set() -> TaskSet {
+        let (a, c, w) =
+            (7_566_709_939_464_077u64, 100_569_449_642_390u64, 2_880_978_630_571_849u64);
+        TaskSet::new(
+            1,
+            vec![
+                task(0, 1 << 53, 1, &[a]),
+                task(1, 1 << 55, 1, &[c]),
+                task(2, 10, 1, &[9]),
+                task(3, 1 << 54, 1, &[w]),
+            ],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn repair_survives_a_swap_view_that_the_refold_rejects() {
+        let ts = refold_boundary_set();
+        let mut engine = AdmissionEngine::new(AdmissionPolicy::named("FFD").unwrap());
+        engine.reset(&ts, 2);
+        for (id, core) in [(0u32, 0u16), (1, 0), (2, 1)] {
+            let Decision::Admitted { core: got, .. } = engine.admit(TaskId(id)) else {
+                panic!("task {id} must fit");
+            };
+            assert_eq!(got, CoreId(core), "task {id}");
+        }
+        // The boundary this test exists for: the swap view admits, the
+        // refolded survivors do not.
+        let stuck = TaskId(3);
+        assert!(engine.engine.probe_swap_verdict(0, TaskId(1), stuck).feasible());
+        let mut refolded = CoreSums::new(1);
+        refolded.add(&engine.engine.row(TaskId(0)));
+        assert!(!refolded.probe_verdict(&engine.engine.row(stuck)).feasible());
+
+        let before = engine.partition();
+        assert_eq!(engine.admit(stuck), Decision::Rejected);
+        assert_eq!(engine.stats().repair_moves, 0);
+        assert_eq!(engine.partition(), before, "the rolled-back move left a trace");
+        assert_eq!(engine.members[0], [TaskId(0), TaskId(1)], "member order restored");
+        assert!(engine.state_identical_to_rebuild());
+    }
+
+    #[test]
+    #[should_panic(expected = "stuck fits on the vacated core")]
+    fn reference_repair_panics_on_the_refold_boundary() {
+        // The pre-memo search trusted the swap view: on the same boundary
+        // it commits to the move and then fails its `expect`.
+        let ts = refold_boundary_set();
+        let mut engine =
+            AdmissionEngine::new(AdmissionPolicy::named("FFD").unwrap()).with_reference_repair();
+        engine.reset(&ts, 2);
+        for id in 0..4 {
+            engine.admit(TaskId(id));
         }
     }
 

@@ -16,7 +16,12 @@
 //! * expose the batch-probe API [`ProbeEngine::probe_all_cores`] — a thin
 //!   wrapper over the lane-parallel [`batch_probe_verdicts`] kernel that
 //!   evaluates all `M` cores in one sweep over the contiguous planes into
-//!   a reusable scratch buffer (zero allocation after warm-up).
+//!   a reusable scratch buffer (zero allocation after warm-up) — and its
+//!   candidate-axis twin [`ProbeEngine::candidate_fits`] (every task of
+//!   the loaded set against one core, as a bitset);
+//! * stamp every core mutation with a fresh [`ProbeEngine::core_epoch`],
+//!   so callers can memoize per-core probe answers (the repair search's
+//!   fit bitsets) and know exactly when they go stale.
 //!
 //! Everything the engine reports is **bit-identical** to the generic
 //! `Theorem1::compute`-over-`WithTask` path the partitioners used before
@@ -31,12 +36,14 @@
 use std::cell::{Cell, RefCell};
 
 use mcs_analysis::{
-    batch_probe_verdicts, CoreBank, CoreSums, CoreView, Probe, TaskRow, TaskTable, Verdict, EPS,
+    batch_candidate_fits, batch_probe_verdicts, CoreBank, CoreSums, CoreView, Probe, TaskRow,
+    TaskTable, Verdict, EPS, LANES,
 };
 use mcs_model::{CritLevel, TaskId, TaskSet};
 use mcs_obs::{Counter, Phase};
 
 use crate::fit::FitTest;
+use crate::repair::RepairSearch;
 
 /// Local telemetry tally. The probe kernel runs in tens of nanoseconds, so
 /// per-probe atomic traffic would dominate it; instead the engine counts
@@ -93,6 +100,10 @@ pub struct ProbeEngine {
     /// only while the flight recorder is on (cores ≥ 64 fold out of the
     /// mask). Admission decision events carry it as their verdict payload.
     last_sweep_mask: u64,
+    /// Engine-wide mutation clock: every core mutation takes the next tick.
+    clock: u64,
+    /// `epochs[m]` = clock tick of core `m`'s latest mutation.
+    epochs: Vec<u64>,
     /// Telemetry cells, flushed by [`with_scratch`].
     tally: EngineTally,
 }
@@ -117,6 +128,33 @@ impl ProbeEngine {
         self.utils.resize(cores, 0.0);
         self.max_util = 0.0;
         self.min_util = 0.0;
+        self.clock += 1;
+        self.epochs.clear();
+        self.epochs.resize(cores, self.clock);
+    }
+
+    /// Mutation epoch of core `m`: changes whenever core `m`'s sums (or
+    /// the loaded task set) change — every `commit`, `place_untracked`,
+    /// `evict*`, `swap_committed`, `refold_core` and `reset` — and never
+    /// returns to an earlier value, so an answer derived from core `m`
+    /// stays valid exactly while this value is unchanged.
+    #[inline]
+    #[must_use]
+    pub fn core_epoch(&self, m: usize) -> u64 {
+        self.epochs[m]
+    }
+
+    /// Stamp core `m` with a fresh epoch (one tick per mutation).
+    #[inline]
+    fn touch(&mut self, m: usize) {
+        self.clock += 1;
+        self.epochs[m] = self.clock;
+    }
+
+    /// Number of tasks of the loaded task set.
+    #[must_use]
+    pub fn num_tasks(&self) -> usize {
+        self.tasks.len()
     }
 
     /// Number of cores of the current run.
@@ -270,6 +308,32 @@ impl ProbeEngine {
         (&self.probes, &self.utils)
     }
 
+    /// Candidate-axis batch probe: set bit `i` of `mask` exactly when task
+    /// `i` of the loaded set fits on core `m` — one
+    /// [`batch_candidate_fits`] sweep of every task against `m`'s sums.
+    /// Each bit equals `self.probe_verdict(m, TaskId(i)).feasible()`
+    /// (the kernel's per-lane bit-identity). `mask` needs at least
+    /// `⌈num_tasks / 64⌉` words.
+    // lint: no_alloc
+    pub fn candidate_fits(&self, m: usize, mask: &mut [u64]) {
+        let _timer = mcs_obs::span(Phase::ProbeBatch);
+        {
+            let _kernel = mcs_obs::span(Phase::BatchKernel);
+            batch_candidate_fits(&self.bank, m, &self.tasks, mask);
+        }
+        if mcs_obs::compiled() {
+            let n = self.tasks.len();
+            let issued = n as u64;
+            let feasible: u64 =
+                mask[..n.div_ceil(64)].iter().map(|w| u64::from(w.count_ones())).sum();
+            bump(&self.tally.batch_calls, 1);
+            bump(&self.tally.batch_lanes, (n.div_ceil(LANES) * LANES) as u64);
+            bump(&self.tally.issued, issued);
+            bump(&self.tally.feasible, feasible);
+            bump(&self.tally.rejected, issued - feasible);
+        }
+    }
+
     /// Feasible-core bitmask of the most recent [`Self::probe_all_cores`]
     /// sweep (stale unless the flight recorder is on; diagnostic only —
     /// no placement decision may read it).
@@ -338,6 +402,7 @@ impl ProbeEngine {
         }
         let row = self.tasks.row(id.index());
         self.bank.add(m, &row);
+        self.touch(m);
         let old = self.utils[m];
         self.utils[m] = util;
         self.note_util_change(old, util);
@@ -352,6 +417,7 @@ impl ProbeEngine {
         }
         let row = self.tasks.row(id.index());
         self.bank.add(m, &row);
+        self.touch(m);
     }
 
     /// Remove `task` from core `m` (repair moves), re-deriving the core's
@@ -362,6 +428,7 @@ impl ProbeEngine {
         }
         let row = self.tasks.row(id.index());
         self.bank.remove(m, &row);
+        self.touch(m);
         let old = self.utils[m];
         let new = {
             let _timer = mcs_obs::span(Phase::Theorem1Eval);
@@ -388,6 +455,7 @@ impl ProbeEngine {
         }
         let row = self.tasks.row(id.index());
         self.bank.remove(m, &row);
+        self.touch(m);
     }
 
     /// Commit a migration in one O(K) delta: replace `minus` by `plus` on
@@ -406,6 +474,7 @@ impl ProbeEngine {
         let minus = self.tasks.row(minus.index());
         let plus = self.tasks.row(plus.index());
         self.bank.swap(m, &minus, &plus);
+        self.touch(m);
         let old = self.utils[m];
         self.utils[m] = util;
         self.note_util_change(old, util);
@@ -431,6 +500,7 @@ impl ProbeEngine {
             let row = self.tasks.row(id.index());
             self.bank.add(m, &row);
         }
+        self.touch(m);
         let old = self.utils[m];
         let new = if survivors.is_empty() {
             0.0
@@ -492,6 +562,8 @@ pub struct PlacementScratch {
     pub loads: Vec<f64>,
     /// Core-index ranking buffer (best/worst fit load-ordered probing).
     pub rank: Vec<usize>,
+    /// Memoized repair search paired with [`Self::engine`] (CA-TPA+LS).
+    pub repair: RepairSearch,
 }
 
 impl PlacementScratch {
@@ -699,6 +771,71 @@ mod tests {
         assert_eq!(a.own_level_total.to_bits(), b.own_level_total.to_bits());
         assert_eq!(a.core_utilization.map(f64::to_bits), b.core_utilization.map(f64::to_bits));
         assert_eq!(engine.utils()[0].to_bits(), fresh.utils()[0].to_bits());
+    }
+
+    #[test]
+    fn every_mutation_moves_only_its_core_epoch() {
+        let ts = mixed_set();
+        let mut engine = ProbeEngine::new();
+        engine.reset(&ts, 3);
+        let epochs = |e: &ProbeEngine| [e.core_epoch(0), e.core_epoch(1), e.core_epoch(2)];
+        let mut last = epochs(&engine);
+        let mut step = |engine: &mut ProbeEngine, f: &dyn Fn(&mut ProbeEngine), core: usize| {
+            f(engine);
+            let now = epochs(engine);
+            for m in 0..3 {
+                assert_eq!(now[m] != last[m], m == core, "core {m} after a core-{core} mutation");
+            }
+            last = now;
+        };
+        let util =
+            |e: &ProbeEngine, m: usize, id: u32| e.probe(m, TaskId(id)).core_utilization().unwrap();
+        step(&mut engine, &|e| e.commit(TaskId(0), 0, util(e, 0, 0)), 0);
+        step(&mut engine, &|e| e.commit(TaskId(1), 1, util(e, 1, 1)), 1);
+        step(&mut engine, &|e| e.place_untracked(TaskId(2), 2), 2);
+        step(&mut engine, &|e| e.evict_untracked(TaskId(2), 2), 2);
+        step(&mut engine, &|e| e.commit(TaskId(3), 1, util(e, 1, 3)), 1);
+        step(&mut engine, &|e| e.evict(TaskId(3), 1), 1);
+        step(
+            &mut engine,
+            &|e| {
+                let u = e.probe_swap_verdict(0, TaskId(0), TaskId(4)).core_utilization.unwrap();
+                e.swap_committed(TaskId(0), TaskId(4), 0, u);
+            },
+            0,
+        );
+        step(&mut engine, &|e| e.refold_core(1, &[TaskId(1)]), 1);
+        // Probes never move an epoch; a reset moves every one.
+        let before = epochs(&engine);
+        let _ = engine.probe_verdict(0, TaskId(2));
+        let _ = engine.probe_all_cores(TaskId(2));
+        assert_eq!(epochs(&engine), before);
+        engine.reset(&ts, 3);
+        let after = epochs(&engine);
+        assert!((0..3).all(|m| after[m] != before[m]));
+    }
+
+    #[test]
+    fn candidate_fits_matches_scalar_probes() {
+        let ts = mixed_set();
+        let mut engine = ProbeEngine::new();
+        engine.reset(&ts, 2);
+        for id in [0u32, 1] {
+            engine.commit(TaskId(id), 0, engine.probe(0, TaskId(id)).core_utilization().unwrap());
+        }
+        for m in 0..2 {
+            let mut mask = [u64::MAX];
+            engine.candidate_fits(m, &mut mask);
+            for i in 0..ts.len() {
+                let id = TaskId(u32::try_from(i).unwrap());
+                assert_eq!(
+                    mask[0] >> i & 1 == 1,
+                    engine.probe_verdict(m, id).feasible(),
+                    "{m} {i}"
+                );
+            }
+            assert_eq!(mask[0] >> ts.len(), 0);
+        }
     }
 
     #[test]

@@ -63,11 +63,14 @@ pub use fit::FitTest;
 pub use fppart::{FpAmc, FpOrdering, FpPriorities};
 pub use hybrid::Hybrid;
 pub use metrics::{PartitionQuality, QualityScratch, QualitySummary};
-pub use reference::{reference_paper_schemes, ReferenceBinPacker, ReferenceCatpa, ReferenceHybrid};
+pub use reference::{
+    reference_paper_schemes, reference_repair_move, ReferenceBinPacker, ReferenceCatpa,
+    ReferenceHybrid,
+};
 pub use registry::{
     BaselineFit, SchemeFlags, SchemeInfo, SchemeRegistry, AUDIT_SET, DUAL_SET, GAP_SET, PAPER_SET,
 };
-pub use repair::CatpaLs;
+pub use repair::{CatpaLs, RepairMove, RepairSearch};
 
 use mcs_model::{Partition, TaskId, TaskSet};
 

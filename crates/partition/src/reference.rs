@@ -14,15 +14,23 @@
 //! * `crates/bench/benches/probe_hot.rs` pits the probe kernels against
 //!   each other directly.
 //!
+//! [`reference_repair_move`] is the one-move repair search as it stood
+//! before [`crate::RepairSearch`] memoized it: per core, a cloned and
+//! sorted member list, a swap probe per resident, then a scalar probe per
+//! other core. [`crate::AdmissionEngine::with_reference_repair`] runs the
+//! admission engine on it, the oracle of the repair differential tests.
+//!
 //! Do not "fix" or optimize these — their value is being the old code.
 
 use mcs_analysis::Theorem1;
-use mcs_model::{CoreId, McTask, Partition, TaskSet, UtilTable, WithTask};
+use mcs_model::{CoreId, McTask, Partition, TaskId, TaskSet, UtilTable, WithTask};
 
 use crate::binpack::{BinPacker, Placement};
 use crate::catpa::{imbalance, probe, DEFAULT_ALPHA};
 use crate::contribution::order_by_contribution;
+use crate::engine::ProbeEngine;
 use crate::fit::FitTest;
+use crate::repair::RepairMove;
 use crate::{PartitionFailure, Partitioner};
 
 /// The original CA-TPA loop: per-probe `WithTask` + `Theorem1::compute`,
@@ -268,4 +276,35 @@ pub fn reference_paper_schemes() -> Vec<Box<dyn Partitioner + Send + Sync>> {
         Box::new(ReferenceHybrid::default()),
         Box::new(ReferenceCatpa::default()),
     ]
+}
+
+/// The original one-move repair search: for every core `m` and resident
+/// `cand` on `m` (smallest own-level utilization first), the first move
+/// where `stuck` fits on `m` without `cand` (swap probe) and `cand` fits
+/// on another core (scalar probes, lowest core first). Clones and sorts
+/// every member list and probes from scratch on every call.
+#[must_use]
+pub fn reference_repair_move(
+    engine: &ProbeEngine,
+    members: &[Vec<TaskId>],
+    stuck: TaskId,
+) -> Option<RepairMove> {
+    for (m, resident) in members.iter().enumerate().take(engine.num_cores()) {
+        let mut candidates = resident.clone();
+        candidates.sort_by(|a, b| {
+            engine.util_own(*a).partial_cmp(&engine.util_own(*b)).expect("utilizations are finite")
+        });
+        for cand in candidates {
+            // (a) Would `stuck` fit on m without `cand`?
+            if !engine.probe_swap_verdict(m, cand, stuck).feasible() {
+                continue;
+            }
+            // (b) Does `cand` fit elsewhere?
+            let target = (0..engine.num_cores())
+                .find(|&m2| m2 != m && engine.probe_verdict(m2, cand).feasible());
+            let Some(m2) = target else { continue };
+            return Some(RepairMove { from: m, cand, to: m2 });
+        }
+    }
+    None
 }

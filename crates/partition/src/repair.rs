@@ -1,21 +1,178 @@
-//! CA-TPA with first-order repair (local search) — an extension beyond the
-//! paper: when the greedy pass strands a task, try to *relocate one already
-//! placed task* to make room instead of failing outright. This recovers a
-//! slice of the optimality gap the exact search exposes (see
-//! `mcs-exp gap`) at a small polynomial cost.
+//! The one-move repair search, and CA-TPA with first-order repair (local
+//! search) — an extension beyond the paper: when the greedy pass strands
+//! a task, try to *relocate one already placed task* to make room instead
+//! of failing outright. This recovers a slice of the optimality gap the
+//! exact search exposes (see `mcs-exp gap`) at a small polynomial cost.
 //!
 //! Repair step for an unplaceable task `τ`: for every core `m` and every
-//! task `τ'` currently on `m`, check whether (a) `τ` fits on `m` once `τ'`
-//! is removed and (b) `τ'` fits on some other core. The first such move is
-//! applied. Each repair consumes one unit of the move budget; placement
-//! then continues greedily.
+//! task `τ'` currently on `m` (smallest own-level utilization first),
+//! check whether (a) `τ` fits on `m` once `τ'` is removed and (b) `τ'`
+//! fits on some other core. The first such move is applied. Each repair
+//! consumes one unit of the move budget; placement then continues
+//! greedily.
+//!
+//! [`RepairSearch`] is the one implementation of that step, shared by
+//! [`CatpaLs`] and the online [`crate::AdmissionEngine`]. It memoizes the
+//! stuck-task-independent half (b) per core as a bitset refreshed by one
+//! candidate-axis kernel sweep whenever the core's
+//! [`ProbeEngine::core_epoch`] moves, so a search costs what the state
+//! changed since the previous one, not what is resident. The pre-memo
+//! loop survives verbatim as [`crate::reference::reference_repair_move`],
+//! the differential oracle.
 
 use mcs_model::{CoreId, Partition, TaskId, TaskSet};
 
 use crate::catpa::{select_core, DEFAULT_ALPHA};
 use crate::contribution::order_by_contribution_into;
-use crate::engine::{with_scratch, ProbeEngine};
+use crate::engine::{with_scratch, PlacementScratch, ProbeEngine};
 use crate::{PartitionFailure, Partitioner};
+
+/// One relocation chosen by the repair search: move resident `cand` off
+/// core `from` onto core `to`, vacating room for the stuck task on
+/// `from`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RepairMove {
+    /// Core that makes room (the stuck task's target).
+    pub from: usize,
+    /// Resident task relocated off `from`.
+    pub cand: TaskId,
+    /// Lowest-index core other than `from` that accepts `cand`.
+    pub to: usize,
+}
+
+/// `seen` value of a fit row never computed (engine epochs start at 1).
+const NEVER: u64 = u64::MAX;
+
+/// Memoized, candidate-batched one-move repair search.
+///
+/// State: per core `m2`, a bitset `fits[m2]` over the loaded task set —
+/// bit `i` set iff task `i` fits on `m2` (`probe_verdict(m2, i)
+/// .feasible()`) — stamped with the [`ProbeEngine::core_epoch`] it was
+/// computed at. Step (b) of the repair does not depend on the stuck task
+/// and a failed search leaves the state unchanged, so a row stays exact
+/// across searches until its core's epoch moves; a stale row is rebuilt
+/// in one [`ProbeEngine::candidate_fits`] sweep. Buffers are sized on the
+/// first search after a reset (`M · ⌈N/64⌉` words) and reused after.
+///
+/// One search value must stay paired with one engine: epochs are only
+/// unique per engine.
+#[derive(Debug, Default)]
+pub struct RepairSearch {
+    /// Words per task bitset, `⌈N / 64⌉`.
+    words: usize,
+    /// `fits[m * words..][..words]` — the fit row of core `m`.
+    fits: Vec<u64>,
+    /// Core epoch each fit row was computed at ([`NEVER`] if not yet).
+    seen: Vec<u64>,
+    /// Scratch: union of the other cores' fit rows.
+    movable_mask: Vec<u64>,
+    /// Scratch: the scanned core's movable residents, sorted.
+    movable: Vec<TaskId>,
+}
+
+/// Whether bit `id` is set in `row`.
+#[inline]
+fn has_bit(row: &[u64], id: TaskId) -> bool {
+    let i = id.index();
+    row[i / 64] >> (i % 64) & 1 == 1
+}
+
+impl RepairSearch {
+    /// Empty search (no buffers until the first [`Self::run`]).
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Bring every fit row up to date with `engine`: re-size after a
+    /// reset changed the shape, then re-sweep each core whose epoch moved.
+    fn sync(&mut self, engine: &ProbeEngine) {
+        let cores = engine.num_cores();
+        let words = engine.num_tasks().div_ceil(64);
+        if self.words != words || self.seen.len() != cores {
+            self.words = words;
+            self.fits.clear();
+            self.fits.resize(cores * words, 0);
+            self.seen.clear();
+            self.seen.resize(cores, NEVER);
+            self.movable_mask.clear();
+            self.movable_mask.resize(words, 0);
+        }
+        for m in 0..cores {
+            let epoch = engine.core_epoch(m);
+            if self.seen[m] != epoch {
+                engine.candidate_fits(m, &mut self.fits[m * words..][..words]);
+                self.seen[m] = epoch;
+            }
+        }
+    }
+
+    /// Search for the first repair move making room for `stuck` and hand
+    /// it to `apply`, in the order of the classic loop: cores ascending;
+    /// per core its residents by own-level utilization (stable, so ties
+    /// keep arrival order); the first resident `cand` with (a) `stuck`
+    /// fitting on the core without `cand` and (b) `cand` fitting on some
+    /// other core, moved to the lowest such core.
+    ///
+    /// The walk tests (b) first, from the memo: per core, the movable
+    /// residents are its members intersected with the union of the other
+    /// cores' fit rows, sorted (a stable sort of a filtered list is the
+    /// filtered stable sort), and only they pay the (a) swap probe. The
+    /// first movable resident passing (a) is the first resident passing
+    /// both in the classic order, so the move is the same.
+    ///
+    /// `apply` either commits the move and returns `Some`, or returns
+    /// `None` after restoring `engine` and `members` bit-for-bit (the
+    /// search then continues with the next candidate — the memo stays
+    /// truthful because the state is unchanged).
+    // lint: no_alloc
+    pub fn run<R>(
+        &mut self,
+        engine: &mut ProbeEngine,
+        members: &mut [Vec<TaskId>],
+        stuck: TaskId,
+        mut apply: impl FnMut(&mut ProbeEngine, &mut [Vec<TaskId>], RepairMove) -> Option<R>,
+    ) -> Option<R> {
+        self.sync(engine);
+        let (cores, words) = (engine.num_cores(), self.words);
+        for m in 0..cores {
+            self.movable_mask.fill(0);
+            for m2 in (0..cores).filter(|&m2| m2 != m) {
+                for (u, f) in self.movable_mask.iter_mut().zip(&self.fits[m2 * words..][..words]) {
+                    *u |= f;
+                }
+            }
+            self.movable.clear();
+            for &id in &members[m] {
+                if has_bit(&self.movable_mask, id) {
+                    self.movable.push(id);
+                }
+            }
+            // Stable: ties keep arrival order. The std stable sort keeps up
+            // to 1024 ids in its 4 KiB stack scratch, so only a core with
+            // more movable residents than that reaches the heap.
+            self.movable.sort_by(|a, b| {
+                engine
+                    .util_own(*a)
+                    .partial_cmp(&engine.util_own(*b))
+                    .expect("utilizations are finite")
+            });
+            for i in 0..self.movable.len() {
+                let cand = self.movable[i];
+                if !engine.probe_swap_verdict(m, cand, stuck).feasible() {
+                    continue;
+                }
+                let to = (0..cores)
+                    .find(|&m2| m2 != m && has_bit(&self.fits[m2 * words..][..words], cand))
+                    .expect("a movable resident fits on some other core");
+                if let Some(done) = apply(engine, members, RepairMove { from: m, cand, to }) {
+                    return Some(done);
+                }
+            }
+        }
+        None
+    }
+}
 
 /// CA-TPA + local-search repair.
 #[derive(Clone, Copy, Debug)]
@@ -32,68 +189,61 @@ impl Default for CatpaLs {
     }
 }
 
-struct LsState<'a, 'e> {
-    ts: &'a TaskSet,
+struct LsState<'e> {
     engine: &'e mut ProbeEngine,
+    search: &'e mut RepairSearch,
     members: Vec<Vec<TaskId>>,
     partition: Partition,
 }
 
-impl LsState<'_, '_> {
-    /// Commit with an already probed utilization (the greedy path).
-    fn commit_with(&mut self, id: TaskId, m: usize, util: f64) {
-        self.engine.commit(id, m, util);
-        self.members[m].push(id);
-        self.partition.assign(id, CoreId(u16::try_from(m).expect("core fits u16")));
-    }
+/// Commit with an already probed utilization (the greedy path).
+fn commit_with(
+    engine: &mut ProbeEngine,
+    members: &mut [Vec<TaskId>],
+    partition: &mut Partition,
+    id: TaskId,
+    m: usize,
+    util: f64,
+) {
+    engine.commit(id, m, util);
+    members[m].push(id);
+    partition.assign(id, CoreId(u16::try_from(m).expect("core fits u16")));
+}
 
-    /// Commit a placement known feasible but not yet valued (repair moves):
-    /// probe once for the utilization, then commit.
-    fn commit(&mut self, id: TaskId, m: usize) {
-        let util = self
-            .engine
-            .probe_verdict(m, id)
-            .core_utilization
-            .expect("committed placements are probed feasible");
-        self.commit_with(id, m, util);
-    }
+/// Commit a placement known feasible but not yet valued (repair moves):
+/// probe once for the utilization, then commit.
+fn commit(
+    engine: &mut ProbeEngine,
+    members: &mut [Vec<TaskId>],
+    partition: &mut Partition,
+    id: TaskId,
+    m: usize,
+) {
+    let util = engine
+        .probe_verdict(m, id)
+        .core_utilization
+        .expect("committed placements are probed feasible");
+    commit_with(engine, members, partition, id, m, util);
+}
 
-    fn evict(&mut self, id: TaskId, m: usize) {
-        self.engine.evict(id, m);
-        self.members[m].retain(|t| *t != id);
-        self.partition.unassign(id);
-    }
-
+impl LsState<'_> {
     /// Try one relocation that makes room for `stuck`. Returns true if a
-    /// move was applied (the stuck task is then placed too).
+    /// move was applied (the stuck task is then placed too). The eviction
+    /// is the clamped O(K) delta — exactly the swap probe's view — so the
+    /// stuck task always fits once the move is made.
     fn repair(&mut self, stuck: TaskId) -> bool {
-        for m in 0..self.engine.num_cores() {
-            // Candidates currently on m, smallest first: cheap moves first.
-            let mut candidates = self.members[m].clone();
-            candidates.sort_by(|a, b| {
-                self.ts
-                    .task(*a)
-                    .util_own()
-                    .partial_cmp(&self.ts.task(*b).util_own())
-                    .expect("finite")
+        let partition = &mut self.partition;
+        let applied =
+            self.search.run(self.engine, &mut self.members, stuck, |engine, members, mv| {
+                engine.note_repair_move();
+                engine.evict(mv.cand, mv.from);
+                members[mv.from].retain(|t| *t != mv.cand);
+                partition.unassign(mv.cand);
+                commit(engine, members, partition, mv.cand, mv.to);
+                commit(engine, members, partition, stuck, mv.from);
+                Some(())
             });
-            for cand in candidates {
-                // (a) Would `stuck` fit on m without `cand`?
-                if !self.engine.probe_swap_verdict(m, cand, stuck).feasible() {
-                    continue;
-                }
-                // (b) Does `cand` fit elsewhere?
-                let target = (0..self.engine.num_cores())
-                    .find(|&m2| m2 != m && self.engine.probe_verdict(m2, cand).feasible());
-                let Some(m2) = target else { continue };
-                self.engine.note_repair_move();
-                self.evict(cand, m);
-                self.commit(cand, m2);
-                self.commit(stuck, m);
-                return true;
-            }
-        }
-        false
+        applied.is_some()
     }
 }
 
@@ -105,23 +255,26 @@ impl Partitioner for CatpaLs {
     fn partition(&self, ts: &TaskSet, cores: usize) -> Result<Partition, PartitionFailure> {
         assert!(cores >= 1, "need at least one core");
         with_scratch(|scratch| {
-            order_by_contribution_into(
-                ts,
-                &mut scratch.totals,
-                &mut scratch.keyed,
-                &mut scratch.order,
-            );
-            scratch.engine.reset(ts, cores);
+            let PlacementScratch { engine, order, keyed, totals, repair, .. } = scratch;
+            order_by_contribution_into(ts, totals, keyed, order);
+            engine.reset(ts, cores);
             let mut state = LsState {
-                ts,
-                engine: &mut scratch.engine,
+                engine,
+                search: repair,
                 members: vec![Vec::new(); cores],
                 partition: Partition::empty(cores, ts.len()),
             };
             let mut moves_left = self.move_budget;
-            for (placed, &id) in scratch.order.iter().enumerate() {
+            for (placed, &id) in order.iter().enumerate() {
                 if let Some((m, new_u)) = select_core(state.engine, id, self.alpha) {
-                    state.commit_with(id, m, new_u);
+                    commit_with(
+                        state.engine,
+                        &mut state.members,
+                        &mut state.partition,
+                        id,
+                        m,
+                        new_u,
+                    );
                     continue;
                 }
                 if moves_left > 0 && state.repair(id) {

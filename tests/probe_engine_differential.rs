@@ -10,7 +10,10 @@ mod common;
 use common::arb_task_set;
 use proptest::prelude::*;
 
-use mcs::analysis::{batch_probe_verdicts, CoreBank, CoreSums, TaskRow, Theorem1, Verdict};
+use mcs::analysis::{
+    batch_candidate_fits, batch_probe_candidates, batch_probe_verdicts, CoreBank, CoreSums,
+    TaskRow, TaskTable, Theorem1, Verdict,
+};
 use mcs::gen::{generate_task_set, GenParams, WcetGrowth};
 use mcs::model::{LevelUtils, Partition, TaskSet, UtilTable, WithTask};
 use mcs::partition::{
@@ -101,12 +104,15 @@ fn assert_lane_bits(lane: &Verdict, scalar: &Verdict, ctx: &str) -> Result<(), T
     Ok(())
 }
 
-/// Probe every task against every core through both paths and compare
-/// lanes bitwise.
+/// Probe every task against every core through both batch axes and the
+/// scalar path and compare lanes bitwise: core-axis sweeps (one task ×
+/// all cores), candidate-axis sweeps (all tasks × one core, `table` holds
+/// the same rows), and the candidate axis's feasibility-bit form.
 fn assert_batch_matches_scalar(
     bank: &CoreBank,
     sums: &[CoreSums],
     rows: &[TaskRow],
+    table: &TaskTable,
     ctx: &str,
 ) -> Result<(), TestCaseError> {
     let mut out = Vec::new();
@@ -119,6 +125,27 @@ fn assert_batch_matches_scalar(
                 &sums[m].probe_verdict(row),
                 &format!("{ctx} task {i} core {m}"),
             )?;
+        }
+    }
+    // Candidate axis on at most eight cores spread over the bank: the
+    // candidate lanes cross the lane boundary along the task axis, so
+    // sampling cores keeps every lane shape while bounding the cost.
+    let mut mask = vec![0u64; rows.len().div_ceil(64)];
+    for (m, core) in sums.iter().enumerate().step_by(sums.len().div_ceil(8)) {
+        batch_probe_candidates(bank, m, table, &mut out);
+        batch_candidate_fits(bank, m, table, &mut mask);
+        prop_assert_eq!(out.len(), rows.len());
+        for (i, (lane, row)) in out.iter().zip(rows).enumerate() {
+            let scalar = core.probe_verdict(row);
+            assert_lane_bits(lane, &scalar, &format!("{ctx} candidate {i} core {m}"))?;
+            prop_assert_eq!(
+                mask[i / 64] >> (i % 64) & 1 == 1,
+                scalar.feasible(),
+                "{} fit bit of candidate {} core {}",
+                ctx,
+                i,
+                m
+            );
         }
     }
     Ok(())
@@ -276,6 +303,8 @@ proptest! {
                     .with_nsu(0.6);
                 let ts = generate_task_set(&params, seed);
                 let rows: Vec<TaskRow> = ts.tasks().iter().map(TaskRow::new).collect();
+                let mut table = TaskTable::new();
+                table.reset(&ts);
 
                 let mut bank = CoreBank::new();
                 bank.reset(k, cores);
@@ -287,14 +316,14 @@ proptest! {
                     home.push(i % cores);
                 }
                 let ctx = format!("K={k} cores={cores}");
-                assert_batch_matches_scalar(&bank, &sums, &rows, &format!("{ctx} dealt"))?;
+                assert_batch_matches_scalar(&bank, &sums, &rows, &table, &format!("{ctx} dealt"))?;
 
                 // Evict every third task from its core.
                 for (i, row) in rows.iter().enumerate().filter(|(i, _)| i % 3 == 0) {
                     bank.remove(home[i], row);
                     sums[home[i]].remove(row);
                 }
-                assert_batch_matches_scalar(&bank, &sums, &rows, &format!("{ctx} evicted"))?;
+                assert_batch_matches_scalar(&bank, &sums, &rows, &table, &format!("{ctx} evicted"))?;
 
                 // Swap the remaining tasks one core over (remove + add on
                 // both sides — the repair/swap path's exact operations).
@@ -307,7 +336,7 @@ proptest! {
                     sums[to].add(row);
                     home[i] = to;
                 }
-                assert_batch_matches_scalar(&bank, &sums, &rows, &format!("{ctx} swapped"))?;
+                assert_batch_matches_scalar(&bank, &sums, &rows, &table, &format!("{ctx} swapped"))?;
 
                 // First-class O(K) swap deltas: replace every resident task
                 // with its evicted neighbour on the same core in one
@@ -320,7 +349,7 @@ proptest! {
                     sums[m].swap(&rows[out_i], &rows[in_i]);
                     home[in_i] = m;
                 }
-                assert_batch_matches_scalar(&bank, &sums, &rows, &format!("{ctx} delta-swapped"))?;
+                assert_batch_matches_scalar(&bank, &sums, &rows, &table, &format!("{ctx} delta-swapped"))?;
 
                 // Departure refold: clear core 0 and re-fold a survivor
                 // list in arrival order (the admission engine's
@@ -336,7 +365,7 @@ proptest! {
                     fresh.add(&rows[i]);
                 }
                 sums[0] = fresh;
-                assert_batch_matches_scalar(&bank, &sums, &rows, &format!("{ctx} refolded"))?;
+                assert_batch_matches_scalar(&bank, &sums, &rows, &table, &format!("{ctx} refolded"))?;
             }
         }
     }
@@ -418,6 +447,8 @@ proptest! {
             // on every probe of the churned state — and every non-empty
             // core must still certify Theorem 1.
             let rows: Vec<TaskRow> = ts.tasks().iter().map(TaskRow::new).collect();
+            let mut table = TaskTable::new();
+            table.reset(&ts);
             let mut bank = CoreBank::new();
             bank.reset(k, cores);
             let mut sums = vec![CoreSums::new(k); cores];
@@ -437,8 +468,93 @@ proptest! {
                     );
                 }
             }
-            assert_batch_matches_scalar(&bank, &sums, &rows, &format!("{ctx} churned"))?;
+            assert_batch_matches_scalar(&bank, &sums, &rows, &table, &format!("{ctx} churned"))?;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Memoized repair search vs the pre-memo reference: saturated
+    /// lifecycle traces replayed through an engine on the memoized
+    /// `RepairSearch` and one on `reference_repair_move` must produce the
+    /// same decision stream (bitwise utilizations), the same lifecycle
+    /// statistics and the same partition, both staying bit-identical to a
+    /// from-scratch rebuild — over NSU ∈ {1.0, 1.2}, M ∈ {2, 8, 16},
+    /// K ∈ {2..8} and depart ratio ∈ {0.05, 0.15}. The repair budget is
+    /// unbounded so every reject runs a search; the policy rotates through
+    /// every online scheme.
+    #[test]
+    fn memoized_repair_search_matches_reference(seed in any::<u64>()) {
+        use mcs::gen::{generate_trace, TraceOp, TraceParams};
+        use mcs::partition::{AdmissionEngine, AdmissionPolicy, Decision};
+
+        let policies = AdmissionPolicy::all();
+        let mut searches = 0usize;
+        let mut repairs = 0u64;
+        for nsu in [1.0, 1.2] {
+            for cores in [2usize, 8, 16] {
+                for k in 2u8..=8 {
+                    for depart_ratio in [0.05, 0.15] {
+                        // The generator caps NSU at 1, so the universe is
+                        // drawn for twice the cores at half the NSU: the
+                        // same total demand, `nsu · cores`.
+                        let n = 5 * cores + 4;
+                        let params = GenParams::default()
+                            .with_n_range(n, n)
+                            .with_cores(2 * cores)
+                            .with_levels(k)
+                            .with_nsu(nsu / 2.0);
+                        let ts = generate_task_set(&params, seed);
+                        let trace = TraceParams { ops: 3 * n, depart_ratio };
+                        let ops = generate_trace(ts.len(), &trace, seed);
+                        let policy = policies[usize::from(k) % policies.len()];
+                        let mut fast =
+                            AdmissionEngine::new(policy).with_repair_budget(usize::MAX);
+                        let mut slow = AdmissionEngine::new(policy)
+                            .with_repair_budget(usize::MAX)
+                            .with_reference_repair();
+                        fast.reset(&ts, cores);
+                        slow.reset(&ts, cores);
+                        let ctx = format!(
+                            "{} nsu={nsu} M={cores} K={k} depart={depart_ratio} seed={seed}",
+                            policy.name()
+                        );
+                        for (step, op) in ops.iter().enumerate() {
+                            match *op {
+                                TraceOp::Arrive(id) => {
+                                    let (a, b) = (fast.admit(id), slow.admit(id));
+                                    let same = match (a, b) {
+                                        (
+                                            Decision::Admitted { core: ca, utilization: ua },
+                                            Decision::Admitted { core: cb, utilization: ub },
+                                        ) => ca == cb && ua.to_bits() == ub.to_bits(),
+                                        (Decision::Rejected, Decision::Rejected) => {
+                                            searches += 1;
+                                            true
+                                        }
+                                        _ => false,
+                                    };
+                                    prop_assert!(same, "{} step {}: {:?} vs {:?}", &ctx, step, a, b);
+                                }
+                                TraceOp::Depart(id) => {
+                                    prop_assert_eq!(fast.depart(id), slow.depart(id), "{}", &ctx);
+                                }
+                            }
+                        }
+                        prop_assert_eq!(fast.stats(), slow.stats(), "{}", &ctx);
+                        prop_assert_eq!(fast.partition(), slow.partition(), "{}", &ctx);
+                        prop_assert!(fast.state_identical_to_rebuild(), "{} memoized drifted", &ctx);
+                        prop_assert!(slow.state_identical_to_rebuild(), "{} reference drifted", &ctx);
+                        repairs += fast.stats().repair_moves;
+                    }
+                }
+            }
+        }
+        // The grid must actually exercise both outcomes of the search.
+        prop_assert!(searches > 0, "no failed searches in the grid");
+        prop_assert!(repairs > 0, "no successful repairs in the grid");
     }
 }
 
